@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/parse.hpp"
+#include "core/reduce.hpp"
 
 namespace quasar::check {
 
@@ -70,13 +71,13 @@ namespace {
 
 template <typename Scalar>
 Real norm_squared_impl(const std::complex<Scalar>* data, Index count) {
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-    total += static_cast<Real>(data[i].real()) * data[i].real() +
-             static_cast<Real>(data[i].imag()) * data[i].imag();
-  }
-  return total;
+  return ordered_sum(static_cast<std::int64_t>(count),
+                     [data](std::int64_t i) {
+                       return static_cast<Real>(data[i].real()) *
+                                  data[i].real() +
+                              static_cast<Real>(data[i].imag()) *
+                                  data[i].imag();
+                     });
 }
 
 template <typename Scalar>

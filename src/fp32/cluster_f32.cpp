@@ -10,6 +10,7 @@
 
 #include "core/aligned.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "fp32/kernels_f32.hpp"
 #include "kernels/permute.hpp"
 #include "obs/histogram.hpp"
@@ -20,16 +21,18 @@
 namespace quasar {
 
 Real CommunicatorF::norm_squared() {
+  // Same grouping as Communicator::norm_squared: a fixed-chunk ordered
+  // sum per slice, slices in rank order, independent of the backend and
+  // of the OpenMP team size.
   Real total = 0.0;
   const int ranks = num_ranks();
   const std::int64_t count = static_cast<std::int64_t>(local_size());
   for (int r = 0; r < ranks; ++r) {
     const AmplitudeF* data = slice(r);
-#pragma omp parallel for schedule(static) reduction(+ : total)
-    for (std::int64_t i = 0; i < count; ++i) {
-      total += static_cast<Real>(data[i].real()) * data[i].real() +
-               static_cast<Real>(data[i].imag()) * data[i].imag();
-    }
+    total += ordered_sum(count, [data](std::int64_t i) {
+      return static_cast<Real>(data[i].real()) * data[i].real() +
+             static_cast<Real>(data[i].imag()) * data[i].imag();
+    });
   }
   return total;
 }

@@ -76,8 +76,8 @@ class CommunicatorF {
   virtual void write_slice(int rank, const AmplitudeF* data) = 0;
 
   /// Total squared norm, accumulated in double at the root over slice()
-  /// with the same loop on every backend (bit-identical across
-  /// transports).
+  /// by one fixed-chunk ordered_sum (core/reduce.hpp) per slice, slices
+  /// in rank order: bit-identical across transports and team sizes.
   Real norm_squared();
 
   /// Communication counters (proc: per-rank counters reduced at root).

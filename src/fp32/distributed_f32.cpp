@@ -13,6 +13,7 @@
 #include "ckpt/crc32c.hpp"
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "obs/histogram.hpp"
 #include "obs/names.hpp"
 #include "obs/progress.hpp"
@@ -502,14 +503,11 @@ Real DistributedSimulatorF::entropy() const {
   const std::int64_t count = static_cast<std::int64_t>(local_size());
   for (int r = 0; r < num_ranks(); ++r) {
     const AmplitudeF* data = comm().slice(r);
-    Real partial = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : partial)
-    for (std::int64_t i = 0; i < count; ++i) {
+    total += ordered_sum(count, [data](std::int64_t i) {
       const Real p = static_cast<Real>(data[i].real()) * data[i].real() +
                      static_cast<Real>(data[i].imag()) * data[i].imag();
-      if (p > 0.0) partial -= p * std::log(p);
-    }
-    total += partial;
+      return p > 0.0 ? -(p * std::log(p)) : 0.0;
+    });
   }
   return total;
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/reduce.hpp"
 #include "simulator/statevector.hpp"
 
 namespace quasar {
@@ -38,26 +39,25 @@ void StateVectorF::set_uniform_superposition() {
 }
 
 Real StateVectorF::norm_squared() const {
-  const Index n = size();
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    total += static_cast<Real>(data_[i].real()) * data_[i].real() +
-             static_cast<Real>(data_[i].imag()) * data_[i].imag();
-  }
-  return total;
+  const AmplitudeF* data = data_.data();
+  return ordered_sum(static_cast<std::int64_t>(size()),
+                     [data](std::int64_t i) {
+                       return static_cast<Real>(data[i].real()) *
+                                  data[i].real() +
+                              static_cast<Real>(data[i].imag()) *
+                                  data[i].imag();
+                     });
 }
 
 Real StateVectorF::entropy() const {
-  const Index n = size();
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const Real p = static_cast<Real>(data_[i].real()) * data_[i].real() +
-                   static_cast<Real>(data_[i].imag()) * data_[i].imag();
-    if (p > 0.0) total -= p * std::log(p);
-  }
-  return total;
+  const AmplitudeF* data = data_.data();
+  return ordered_sum(static_cast<std::int64_t>(size()),
+                     [data](std::int64_t i) {
+                       const Real p =
+                           static_cast<Real>(data[i].real()) * data[i].real() +
+                           static_cast<Real>(data[i].imag()) * data[i].imag();
+                       return p > 0.0 ? -(p * std::log(p)) : 0.0;
+                     });
 }
 
 Real StateVectorF::max_abs_diff(const StateVector& other) const {

@@ -95,9 +95,11 @@ class Communicator {
   /// Overwrites rank `rank`'s slice (checkpoint resume).
   virtual void write_slice(int rank, const Amplitude* data) = 0;
 
-  /// Total squared norm across ranks. Computed at the root over slice()
-  /// with the same reduction loop on every backend, so the result is
-  /// bit-identical across transports.
+  /// Total squared norm across ranks. Computed at the root over slice():
+  /// one fixed-chunk ordered_sum (core/reduce.hpp) per slice, slices
+  /// added in rank order. That grouping depends on neither the backend
+  /// nor the OpenMP team size, so the result is bit-identical across
+  /// transports, thread counts and runs.
   Real norm_squared();
 
   /// Communication counters. Virtual: the cluster's counters. Proc: the

@@ -11,6 +11,7 @@
 #include "ckpt/crc32c.hpp"
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "obs/names.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
@@ -639,13 +640,13 @@ Real DistributedSimulator::entropy() const {
   const Index size = comm().local_size();
   for (int r = 0; r < comm().num_ranks(); ++r) {
     const Amplitude* data = comm().slice(r);
-    Real partial = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : partial)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(size); ++i) {
-      const Real p = std::norm(data[i]);
-      if (p > 0.0) partial -= p * std::log(p);
-    }
-    total += partial;  // the "final reduction" of Sec. 4.2.2
+    // The "final reduction" of Sec. 4.2.2: fixed-chunk ordered sum per
+    // slice, slices in rank order (bit-identical at any team size).
+    total += ordered_sum(static_cast<std::int64_t>(size),
+                         [data](std::int64_t i) {
+                           const Real p = std::norm(data[i]);
+                           return p > 0.0 ? -(p * std::log(p)) : 0.0;
+                         });
   }
   return total;
 }

@@ -129,8 +129,9 @@ class DistributedSimulator {
   /// deferred phases. Only for n small enough to hold twice.
   StateVector gather() const;
 
-  /// Distributed reductions, computed at the root with the same loops on
-  /// every transport (bit-identical across QUASAR_TRANSPORT values).
+  /// Distributed reductions, computed at the root by fixed-chunk ordered
+  /// sums (core/reduce.hpp) per slice, slices in rank order: bit-identical
+  /// across QUASAR_TRANSPORT values and OpenMP team sizes.
   Real norm_squared() const { return comm().norm_squared(); }
   Real entropy() const;
 

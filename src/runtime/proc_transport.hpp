@@ -24,9 +24,11 @@
 /// independent of thread count, so worker slices are bit-identical to
 /// the corresponding VirtualCluster slices on the same machine. Root-side
 /// reductions (norm, entropy, sampling, checkpoint digests) run over
-/// fetched slices with the same loops as the virtual transport, which is
-/// what lets CI diff fingerprint/norm/entropy lines exactly across
-/// QUASAR_TRANSPORT values.
+/// fetched slices with the same code as the virtual transport; the
+/// floating-point sums go through core/reduce.hpp's ordered_sum, whose
+/// fixed-size chunks are combined in index order whatever the root's
+/// OpenMP team size. That is what lets CI diff fingerprint/norm/entropy
+/// lines exactly across QUASAR_TRANSPORT values and thread counts.
 #pragma once
 
 #include <algorithm>

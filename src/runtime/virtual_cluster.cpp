@@ -11,6 +11,7 @@
 #include "check/invariant.hpp"
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "kernels/permute.hpp"
 #include "kernels/swap.hpp"
 #include "obs/histogram.hpp"
@@ -400,9 +401,8 @@ Real VirtualCluster::norm_squared() const {
   Real total = 0.0;
   for (const auto& buffer : buffers_) {
     const Amplitude* data = buffer.data();
-    const std::int64_t count = static_cast<std::int64_t>(buffer.size());
-#pragma omp parallel for schedule(static) reduction(+ : total)
-    for (std::int64_t i = 0; i < count; ++i) total += std::norm(data[i]);
+    total += ordered_sum(static_cast<std::int64_t>(buffer.size()),
+                         [data](std::int64_t i) { return std::norm(data[i]); });
   }
   return total;
 }

@@ -110,7 +110,8 @@ class VirtualCluster {
   void pairwise_global_gate(const GateMatrix& gate, int location,
                             const ApplyOptions& options = {});
 
-  /// Total squared norm across ranks.
+  /// Total squared norm across ranks; same grouping (and bits) as
+  /// Communicator::norm_squared.
   Real norm_squared() const;
 
   /// Communication counters.

@@ -62,6 +62,12 @@ const char* state_token(Job::State state) {
   return "unknown";
 }
 
+/// Wakes the job's streamer after a change made under job.mutex.
+void publish(Job& job) {
+  ++job.updates;
+  job.cv.notify_all();
+}
+
 ScheduleOptions schedule_options_for(const JobSpec& spec, int num_local) {
   ScheduleOptions options;
   options.num_local = num_local;
@@ -130,7 +136,7 @@ void JobServer::stop() {
       std::lock_guard<std::mutex> job_lock(job->mutex);
       job->state = Job::State::kError;
       job->error = "server shutting down";
-      job->cv.notify_all();
+      publish(*job);
     }
     pending_.clear();
   }
@@ -142,7 +148,13 @@ void JobServer::stop() {
 
   std::vector<std::thread> connections;
   {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
+    // Every job is terminal now (done, or failed/checkpointed by the
+    // shutdown). Let each streamer write that reply before its socket
+    // goes away, else the client sees a bare disconnect instead of the
+    // error naming the kept checkpoint.
+    std::unique_lock<std::mutex> lock(connections_mutex_);
+    streams_cv_.wait_for(lock, kStreamDrainTimeout,
+                         [this] { return streams_in_flight_ == 0; });
     for (const int fd : connection_fds_) {
       ::shutdown(fd, SHUT_RDWR);
     }
@@ -407,14 +419,28 @@ void JobServer::handle_submit(LineChannel& channel,
     return;  // client vanished before the job started; never enqueue
   }
 
+  // Registered before enqueue, so stop() waits for this job's terminal
+  // reply (a job enqueued during stop() fails at once with "server
+  // shutting down").
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    ++streams_in_flight_;
+  }
   enqueue(job, /*resumed=*/false);
   stream_job(channel, job);
+  {
+    std::lock_guard<std::mutex> lock(connections_mutex_);
+    --streams_in_flight_;
+  }
+  streams_cv_.notify_all();
 }
 
 void JobServer::stream_job(LineChannel& channel,
                            const std::shared_ptr<Job>& job) {
   Job::State last_state = Job::State::kQueued;
   int last_stage = -1;
+  // Nothing seen yet: the first pass reports the current state at once.
+  std::uint64_t seen = UINT64_MAX;
   while (true) {
     Job::State state;
     obs::ProgressSnapshot progress;
@@ -422,7 +448,8 @@ void JobServer::stream_job(LineChannel& channel,
     std::string error;
     {
       std::unique_lock<std::mutex> lock(job->mutex);
-      job->cv.wait_for(lock, std::chrono::milliseconds(100));
+      job->cv.wait(lock, [&] { return job->updates != seen; });
+      seen = job->updates;
       state = job->state;
       progress = job->progress;
       if (state == Job::State::kDone) result_lines = job->result_lines;
@@ -463,7 +490,7 @@ void JobServer::enqueue(const std::shared_ptr<Job>& job, bool resumed) {
     std::lock_guard<std::mutex> job_lock(job->mutex);
     job->state = Job::State::kError;
     job->error = "server shutting down";
-    job->cv.notify_all();
+    publish(*job);
     return;
   }
   pending_.push_back(job);
@@ -573,7 +600,7 @@ bool JobServer::run_attempt(Sim& sim, const std::shared_ptr<Job>& job) {
         {
           std::lock_guard<std::mutex> lock(job->mutex);
           job->progress = snapshot;
-          job->cv.notify_all();
+          publish(*job);
         }
         if (stall_ms > 0) {
           std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
@@ -594,14 +621,14 @@ bool JobServer::run_attempt(Sim& sim, const std::shared_ptr<Job>& job) {
       std::lock_guard<std::mutex> lock(job->mutex);
       job->state = Job::State::kPreempted;
       ++job->preemptions;
-      job->cv.notify_all();
+      publish(*job);
     }
     if (stopping_.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(job->mutex);
       job->state = Job::State::kError;
       job->error = "preempted by shutdown; checkpoint kept in " +
                    job->ckpt_dir;
-      job->cv.notify_all();
+      publish(*job);
       return false;
     }
     enqueue(job, /*resumed=*/true);
@@ -631,7 +658,7 @@ void JobServer::execute(const std::shared_ptr<Job>& job) {
   {
     std::lock_guard<std::mutex> lock(job->mutex);
     job->state = Job::State::kRunning;
-    job->cv.notify_all();
+    publish(*job);
   }
 
   // Per-job observability: a private session bound to this worker's
@@ -660,7 +687,7 @@ void JobServer::execute(const std::shared_ptr<Job>& job) {
     std::lock_guard<std::mutex> lock(job->mutex);
     job->state = Job::State::kError;
     job->error = e.what();
-    job->cv.notify_all();
+    publish(*job);
   }
 
 #pragma omp parallel
@@ -688,7 +715,7 @@ void JobServer::execute(const std::shared_ptr<Job>& job) {
         job->result_lines.push_back(std::move(artifact_line));
       }
       job->state = Job::State::kDone;
-      job->cv.notify_all();
+      publish(*job);
     }
     std::error_code ec;
     fs::remove_all(job->ckpt_dir, ec);  // scratch; nothing to resume

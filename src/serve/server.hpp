@@ -32,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -105,10 +106,19 @@ struct Job {
   obs::ProgressSnapshot progress;
   std::vector<std::string> result_lines;
   std::string error;
+  /// Bumped under `mutex` with every published change to state,
+  /// progress or error. The streamer waits on `cv` for it to move, so a
+  /// notify that lands while it is busy writing is never lost.
+  std::uint64_t updates = 0;
 };
 
 class JobServer {
  public:
+  /// Upper bound on how long stop() waits for in-flight submissions to
+  /// write their terminal reply; only a client that stopped reading its
+  /// socket can hold a reply up that long.
+  static constexpr std::chrono::seconds kStreamDrainTimeout{10};
+
   explicit JobServer(ServeOptions options);
   ~JobServer();
   JobServer(const JobServer&) = delete;
@@ -119,8 +129,10 @@ class JobServer {
 
   /// Graceful shutdown (idempotent): stops accepting, preempts running
   /// jobs at their next stage boundary (checkpoints committed, writers
-  /// drained), fails queued jobs with "server shutting down", and joins
-  /// every thread.
+  /// drained), fails queued jobs with "server shutting down", lets every
+  /// in-flight submission write its terminal reply (bounded by
+  /// kStreamDrainTimeout), then closes connections and joins every
+  /// thread.
   void stop();
 
   /// Serves until `external_flag` (e.g. quasar::shutdown_flag()) or a
@@ -199,6 +211,11 @@ class JobServer {
   std::vector<std::thread> workers_;
   std::mutex connections_mutex_;
   std::vector<std::thread> connection_threads_;
+  /// Submissions between enqueue and their terminal reply (guarded by
+  /// connections_mutex_). stop() waits on streams_cv_ for this to reach
+  /// zero before it shuts connections down.
+  int streams_in_flight_ = 0;
+  std::condition_variable streams_cv_;
   /// fds of live connections only: each connection thread deregisters
   /// its fd before closing it, so stop() never shutdown()s a kernel fd
   /// number that has been reused by someone else.

@@ -4,6 +4,7 @@
 
 #include "core/bits.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 
 namespace quasar {
 
@@ -57,41 +58,36 @@ Real expectation(const StateVector& state, const PauliString& pauli) {
   const Amplitude* data = state.data();
   const Index n = state.size();
 
-  Real sum_re = 0.0, sum_im = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : sum_re, sum_im)
-  for (std::int64_t j = 0; j < static_cast<std::int64_t>(n); ++j) {
-    const Index out = static_cast<Index>(j);
-    const Index in = out ^ flip;
-    // Phase: Z factors give (-1)^bit(in); each Y gives i on |0> input
-    // and -i on |1> input, i.e. i^{#Y} * (-1)^{#(Y bits set in in)}.
-    int minus = std::popcount(in & z_mask) + std::popcount(in & y_mask);
-    Amplitude term = std::conj(data[out]) * data[in];
-    if (minus & 1) term = -term;
-    const Amplitude v = term;
-    // Multiply by i^{y_count}.
-    switch (y_count & 3) {
-      case 0: sum_re += v.real(); sum_im += v.imag(); break;
-      case 1: sum_re += -v.imag(); sum_im += v.real(); break;
-      case 2: sum_re += -v.real(); sum_im += -v.imag(); break;
-      case 3: sum_re += v.imag(); sum_im += -v.real(); break;
-    }
-  }
-  QUASAR_ASSERT(std::abs(sum_im) < 1e-9);
-  return sum_re;
+  const Amplitude sum = ordered_sum(
+      static_cast<std::int64_t>(n), [=](std::int64_t j) {
+        const Index out = static_cast<Index>(j);
+        const Index in = out ^ flip;
+        // Phase: Z factors give (-1)^bit(in); each Y gives i on |0> input
+        // and -i on |1> input, i.e. i^{#Y} * (-1)^{#(Y bits set in in)}.
+        int minus = std::popcount(in & z_mask) + std::popcount(in & y_mask);
+        Amplitude v = std::conj(data[out]) * data[in];
+        if (minus & 1) v = -v;
+        // Multiply by i^{y_count}.
+        switch (y_count & 3) {
+          case 1: return Amplitude{-v.imag(), v.real()};
+          case 2: return Amplitude{-v.real(), -v.imag()};
+          case 3: return Amplitude{v.imag(), -v.real()};
+          default: return v;
+        }
+      });
+  QUASAR_ASSERT(std::abs(sum.imag()) < 1e-9);
+  return sum.real();
 }
 
 Real fidelity(const StateVector& a, const StateVector& b) {
   QUASAR_CHECK(a.num_qubits() == b.num_qubits(),
                "fidelity: qubit count mismatch");
-  const Index n = a.size();
-  Real re = 0.0, im = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : re, im)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    const Amplitude v = std::conj(a[i]) * b[i];
-    re += v.real();
-    im += v.imag();
-  }
-  return re * re + im * im;
+  const Amplitude* da = a.data();
+  const Amplitude* db = b.data();
+  const Amplitude overlap = ordered_sum(
+      static_cast<std::int64_t>(a.size()),
+      [da, db](std::int64_t i) { return std::conj(da[i]) * db[i]; });
+  return overlap.real() * overlap.real() + overlap.imag() * overlap.imag();
 }
 
 }  // namespace quasar

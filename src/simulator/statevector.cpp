@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "core/reduce.hpp"
+
 namespace quasar {
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits) {
@@ -38,13 +40,9 @@ void StateVector::set_uniform_superposition() {
 }
 
 Real StateVector::norm_squared() const {
-  const Index n = size();
-  Real total = 0.0;
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    total += std::norm(data_[i]);
-  }
-  return total;
+  const Amplitude* data = data_.data();
+  return ordered_sum(static_cast<std::int64_t>(size()),
+                     [data](std::int64_t i) { return std::norm(data[i]); });
 }
 
 Real StateVector::max_abs_diff(const StateVector& other) const {

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <tuple>
 
@@ -50,6 +51,27 @@ TEST(Fp32State, Basics) {
   EXPECT_NEAR(s.entropy(), 5 * std::log(2.0), 1e-5);
   EXPECT_THROW(s.set_basis_state(32), Error);
   EXPECT_THROW(StateVectorF(0), Error);
+}
+
+TEST(Fp32State, SumsBitEqualAcrossTeamSizes) {
+  // 2^15 amplitudes span eight reduction chunks (core/reduce.hpp); the
+  // fp32 norm and entropy must not depend on the OpenMP team size.
+  Rng rng(4);
+  StateVectorF s(15);
+  for (Index i = 0; i < s.size(); ++i) {
+    s[i] = AmplitudeF{static_cast<float>(rng.normal() / 256.0),
+                      static_cast<float>(rng.normal() / 256.0)};
+  }
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const Real norm = s.norm_squared();
+  const Real ent = s.entropy();
+  for (const int team : {2, 3, 4, 8}) {
+    omp_set_num_threads(team);
+    EXPECT_EQ(s.norm_squared(), norm) << "team " << team;
+    EXPECT_EQ(s.entropy(), ent) << "team " << team;
+  }
+  omp_set_num_threads(saved);
 }
 
 using SweepParam = std::tuple<int /*n*/, int /*k*/, int /*seed*/>;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cmath>
+#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "core/rng.hpp"
+#include "simulator/measure.hpp"
 #include "simulator/noise.hpp"
 #include "simulator/observable.hpp"
 #include "simulator/reference.hpp"
@@ -127,6 +130,41 @@ TEST(Fidelity, PhaseInvariant) {
   b.set_uniform_superposition();
   for (Index i = 0; i < b.size(); ++i) b[i] *= Amplitude{0.0, 1.0};
   EXPECT_NEAR(fidelity(a, b), 1.0, 1e-12);
+}
+
+TEST(DeterministicSums, BitEqualAcrossTeamSizes) {
+  // 2^15 amplitudes span eight kReduceChunk chunks. Every sum must give
+  // the same bits at any OpenMP team size (core/reduce.hpp): measurement
+  // draws against probability_of_one, and served-vs-direct parity
+  // compares norms and entropies exactly.
+  Rng rng(21);
+  const int n = 15;
+  StateVector a(n), b(n);
+  Real norm_a = 0.0, norm_b = 0.0;
+  for (Index i = 0; i < a.size(); ++i) {
+    a[i] = Amplitude{rng.normal(), rng.normal()};
+    b[i] = Amplitude{rng.normal(), rng.normal()};
+    norm_a += std::norm(a[i]);
+    norm_b += std::norm(b[i]);
+  }
+  for (Index i = 0; i < a.size(); ++i) {
+    a[i] /= std::sqrt(norm_a);
+    b[i] /= std::sqrt(norm_b);
+  }
+  const PauliString pauli("XYZIIXZYIIIIIIZ");
+  const auto sums = [&] {
+    return std::vector<Real>{a.norm_squared(), entropy(a),
+                             probability_of_one(a, 3),
+                             expectation(a, pauli), fidelity(a, b)};
+  };
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const std::vector<Real> reference = sums();
+  for (const int team : {2, 3, 4, 8}) {
+    omp_set_num_threads(team);
+    EXPECT_EQ(sums(), reference) << "team " << team;
+  }
+  omp_set_num_threads(saved);
 }
 
 TEST(Noise, ZeroNoiseIsExact) {

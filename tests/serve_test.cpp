@@ -696,13 +696,17 @@ TEST(JobServer, GracefulStopCheckpointsInFlightJob) {
   serve::SubmitOutcome outcome;
   std::thread submit_thread([&] {
     serve::ServeClient client(server.endpoint());
-    outcome = client.submit(spec, circuit_text(circuit),
-                            [&stage](const std::string& status) {
-                              if (status.find("state=running") !=
-                                  std::string::npos) {
-                                stage.fetch_add(1);
-                              }
-                            });
+    // Wait for a completed stage, not just state=running: the server
+    // reports running before stage 0 executes, and a stop() that lands
+    // there leaves no stage behind the kept checkpoint (cursor 0).
+    outcome = client.submit(
+        spec, circuit_text(circuit), [&stage](const std::string& status) {
+          const std::size_t at = status.find("stage=");
+          if (at != std::string::npos &&
+              status.find("state=running") != std::string::npos) {
+            stage.store(std::atoi(status.c_str() + at + 6));
+          }
+        });
   });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);

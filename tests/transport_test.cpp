@@ -8,6 +8,7 @@
 /// so kill/resume works across process boundaries.
 #include <gtest/gtest.h>
 
+#include <omp.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 
@@ -25,6 +26,7 @@
 #include "ckpt/reader.hpp"
 #include "ckpt/writer.hpp"
 #include "core/error.hpp"
+#include "core/reduce.hpp"
 #include "core/rng.hpp"
 #include "gates/standard.hpp"
 #include "runtime/communicator.hpp"
@@ -146,8 +148,9 @@ TEST_P(CrossTransportParity, StateSamplesAndStatsBitExact) {
   EXPECT_EQ(std::memcmp(sv.data(), sp.data(), sv.size() * sizeof(Amplitude)),
             0);
 
-  // Root-side reductions use the same loops over slices on both
-  // transports: exact equality, not tolerance.
+  // Root-side reductions run the same fixed-chunk ordered sum over the
+  // same slices on both transports, and its grouping does not depend on
+  // the OpenMP team size: exact equality, not tolerance.
   EXPECT_EQ(virt.norm_squared(), proc.norm_squared());
   EXPECT_EQ(virt.entropy(), proc.entropy());
 
@@ -169,6 +172,53 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "_s" +
              std::to_string(std::get<2>(info.param));
     });
+
+// The grid above compares transports at one team size, and its slices
+// (<= 2^6 amplitudes) fit in a single reduction chunk. Here each slice
+// spans several kReduceChunk chunks, so the chunk combine runs, and the
+// root-side sums are re-evaluated at several OpenMP team sizes: the
+// result may depend on neither the team size nor the transport.
+TEST(DeterministicReduction, NormAndEntropyBitEqualAcrossTeamSizes) {
+  const int n = 16, l = 14;
+  ASSERT_GT(static_cast<std::int64_t>(index_pow2(l)), 2 * kReduceChunk);
+  const Circuit c = random_circuit(n, 10 * n, 5);
+  ScheduleOptions o;
+  o.num_local = l;
+  o.kmax = 3;
+  const Schedule schedule = make_schedule(c, o);
+
+  struct Sums {
+    Real norm, entropy, norm_f32, entropy_f32;
+  };
+  const int saved = omp_get_max_threads();
+  std::vector<Sums> reference;  // team size 1, per transport
+  for (const TransportKind kind :
+       {TransportKind::kVirtual, TransportKind::kProc}) {
+    DistributedSimulator sim(n, l, ApplyOptions{}, StorageOptions{}, kind);
+    DistributedSimulatorF sim_f32(n, l, 0, std::size_t{64} << 20, kind);
+    sim.init_uniform();
+    sim_f32.init_uniform();
+    sim.run(c, schedule);
+    sim_f32.run(c, schedule);
+    for (const int team : {1, 2, 3, 4, 8}) {
+      omp_set_num_threads(team);
+      const Sums sums{sim.norm_squared(), sim.entropy(),
+                      sim_f32.norm_squared(), sim_f32.entropy()};
+      if (team == 1) reference.push_back(sums);
+      const Sums& ref = reference.back();
+      EXPECT_EQ(sums.norm, ref.norm) << "team " << team;
+      EXPECT_EQ(sums.entropy, ref.entropy) << "team " << team;
+      EXPECT_EQ(sums.norm_f32, ref.norm_f32) << "team " << team;
+      EXPECT_EQ(sums.entropy_f32, ref.entropy_f32) << "team " << team;
+    }
+  }
+  omp_set_num_threads(saved);
+  ASSERT_EQ(reference.size(), 2u);
+  EXPECT_EQ(reference[0].norm, reference[1].norm);
+  EXPECT_EQ(reference[0].entropy, reference[1].entropy);
+  EXPECT_EQ(reference[0].norm_f32, reference[1].norm_f32);
+  EXPECT_EQ(reference[0].entropy_f32, reference[1].entropy_f32);
+}
 
 TEST(CrossTransportParity, PairwiseGlobalGateMatchesVirtual) {
   const int n = 8, l = 6;
